@@ -34,7 +34,8 @@ from .core import (
     format_fraction,
     is_simple,
 )
-from .search import DEFAULT_WALK_BUDGET, enumerate_walks
+from .reweight import CycleError, topological_order
+from .search import DEFAULT_WALK_BUDGET, enumerate_walks, simple_paths
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,6 @@ def _best_rival_weight(
     bound the minimum over that enumeration is the true minimum.  Returns
     None when no rival surfaced within the probe budget.
     """
-    from .optimize import simple_paths
-    from .reweight import CycleError, topological_order
-
     try:
         if graph.directed:
             topological_order(graph)

@@ -120,6 +120,18 @@ class WeightedGraph:
         return tuple(tuple(sorted(nbrs)) for nbrs in out)
 
     @cached_property
+    def incoming(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex incoming (neighbor, edge_index) pairs, sorted: the
+        adjacency of the reversed graph (``adjacency`` itself if undirected).
+        """
+        if not self.directed:
+            return self.adjacency
+        into: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for idx, (u, v, _) in enumerate(self.edges):
+            into[v].append((u, idx))
+        return tuple(tuple(sorted(nbrs)) for nbrs in into)
+
+    @cached_property
     def _edge_index(self) -> dict[tuple[int, int], int]:
         table: dict[tuple[int, int], int] = {}
         for idx, (u, v, _) in enumerate(self.edges):

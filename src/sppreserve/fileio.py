@@ -50,10 +50,25 @@ def _lines(src: Source) -> list[tuple[int, list[str]]]:
     return out
 
 
-def _open_out(dst: Source):
+def _write_text(dst: Source, text: str) -> None:
     if isinstance(dst, (str, FsPath)):
-        return open(dst, "w", encoding="utf-8"), True
-    return dst, False
+        FsPath(dst).write_text(text, encoding="utf-8")
+    else:
+        dst.write(text)
+
+
+def _edge_line(parts: list[str], lineno: int, tag: str) -> tuple[int, int, Fraction]:
+    """Parse one ``<tag> <u> <v> <p>/<q>`` line of a graph or weight file."""
+    if parts[0] != tag or len(parts) != 4:
+        raise ParseError(f"line {lineno}: expected '{tag} <u> <v> <p>/<q>'")
+    try:
+        u, v = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad vertex index") from None
+    w = _parse_rational(parts[3], lineno)
+    if w <= 0:
+        raise ParseError(f"line {lineno}: weight must be positive, got {w}")
+    return u, v, w
 
 
 def _norm_pair(graph_directed: bool, u: int, v: int) -> tuple[int, int]:
@@ -72,18 +87,7 @@ def read_graph(src: Source) -> WeightedGraph:
         n = int(head[2])
     except ValueError:
         raise ParseError(f"line {lineno}: bad vertex count {head[2]!r}") from None
-    edges = []
-    for lineno, parts in lines[1:]:
-        if parts[0] != "e" or len(parts) != 4:
-            raise ParseError(f"line {lineno}: expected 'e <u> <v> <p>/<q>'")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad vertex index") from None
-        w = _parse_rational(parts[3], lineno)
-        if w <= 0:
-            raise ParseError(f"line {lineno}: weight must be positive, got {w}")
-        edges.append((u, v, w))
+    edges = [_edge_line(parts, lineno, "e") for lineno, parts in lines[1:]]
     try:
         return WeightedGraph(directed=directed, n=n, edges=tuple(edges))
     except ValueError as exc:
@@ -100,27 +104,14 @@ def graph_to_text(graph: WeightedGraph) -> str:
 
 
 def write_graph(graph: WeightedGraph, dst: Source) -> None:
-    out, close = _open_out(dst)
-    try:
-        out.write(graph_to_text(graph))
-    finally:
-        if close:
-            out.close()
+    _write_text(dst, graph_to_text(graph))
 
 
 def read_weights(src: Source, graph: WeightedGraph) -> WeightMap:
     """Weight map aligned with ``graph.edges``; edge sets must match exactly."""
     table: dict[tuple[int, int], Fraction] = {}
     for lineno, parts in _lines(src):
-        if parts[0] != "w" or len(parts) != 4:
-            raise ParseError(f"line {lineno}: expected 'w <u> <v> <p>/<q>'")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad vertex index") from None
-        w = _parse_rational(parts[3], lineno)
-        if w <= 0:
-            raise ParseError(f"line {lineno}: weight must be positive, got {w}")
+        u, v, w = _edge_line(parts, lineno, "w")
         key = _norm_pair(graph.directed, u, v)
         if key in table:
             raise ParseError(f"line {lineno}: duplicate weight for edge ({u},{v})")
@@ -147,12 +138,7 @@ def weights_to_text(graph: WeightedGraph, wmap: WeightMap) -> str:
 
 
 def write_weights(graph: WeightedGraph, wmap: WeightMap, dst: Source) -> None:
-    out, close = _open_out(dst)
-    try:
-        out.write(weights_to_text(graph, wmap))
-    finally:
-        if close:
-            out.close()
+    _write_text(dst, weights_to_text(graph, wmap))
 
 
 def read_paths(src: Source, graph: WeightedGraph | None = None) -> PathSystem:
@@ -185,9 +171,4 @@ def paths_to_text(system: PathSystem) -> str:
 
 
 def write_paths(system: PathSystem, dst: Source) -> None:
-    out, close = _open_out(dst)
-    try:
-        out.write(paths_to_text(system))
-    finally:
-        if close:
-            out.close()
+    _write_text(dst, paths_to_text(system))

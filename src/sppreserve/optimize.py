@@ -18,7 +18,6 @@ every pair up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -34,11 +33,12 @@ from .core import (
     as_fraction,
     format_fraction,
 )
-from .search import shortest_paths
+from .search import dag_extreme_path, shortest_paths, simple_paths
 from .simplex import Constraint, LinearProgram, LpCertificate, solve_lp
 
 DEFAULT_ENUM_BUDGET = 10**6
 TIE_MODELS = ("one", "all", "error")
+_MAX_ROUNDS = 500  # augmentation rounds of min_aspect_ratio before it gives up
 
 
 def edge_var(graph: WeightedGraph, idx: int) -> str:
@@ -50,99 +50,37 @@ def _path_str(path: Sequence[int]) -> str:
     return "-".join(str(v) for v in path)
 
 
-def simple_paths(
-    graph: WeightedGraph,
-    s: int,
-    t: int,
-    budget: int | WorkBudget = DEFAULT_ENUM_BUDGET,
-) -> list[Path]:
-    """All simple s-to-t paths, lexicographically ordered.
-
-    Only vertices that can still reach ``t`` are entered, so dead branches
-    cost nothing.  ``budget`` meters expansions and raises when exhausted.
-    """
-    if isinstance(budget, int):
-        budget = WorkBudget(budget)
-    if s == t:
-        return [(s,)]
-    reach = _reaches_target(graph, t)
-    if not reach[s]:
-        return []
-    results: list[Path] = []
-    path = [s]
-    on_path = {s}
-
-    def extend(u: int) -> None:
-        for v, _ in graph.adjacency[u]:
-            if v in on_path or not reach[v]:
-                continue
-            budget.spend()
-            path.append(v)
-            if v == t:
-                results.append(tuple(path))
-            else:
-                on_path.add(v)
-                extend(v)
-                on_path.discard(v)
-            path.pop()
-
-    extend(s)
-    return results
-
-
-def _reaches_target(graph: WeightedGraph, t: int) -> list[bool]:
-    into: list[list[int]] = [[] for _ in range(graph.n)]
-    for u, v, _ in graph.edges:
-        into[v].append(u)
-        if not graph.directed:
-            into[u].append(v)
-    reach = [False] * graph.n
-    reach[t] = True
-    frontier = [t]
-    while frontier:
-        v = frontier.pop()
-        for u in into[v]:
-            if not reach[u]:
-                reach[u] = True
-                frontier.append(u)
-    return reach
-
-
 def canonical_designated_path(graph: WeightedGraph, s: int, t: int) -> Path:
-    """The lexicographically smallest shortest s-to-t path."""
+    """The lexicographically smallest shortest s-to-t path.
+
+    Every tight path weighs d_G(s, t), so the minimum-weight tight-DAG path,
+    with its lexicographic tie-break, is exactly this path.
+    """
     table = shortest_paths(graph, s)
-    if t != s and table.dist[t] is None:
+    if table.dist[t] is None:
         raise ValueError(f"{t} is unreachable from {s}")
-    succ = table.tight_successors()
-    # Reachability of t inside the tight subgraph, by reverse closure; the
-    # greedy lexicographic walk must never step into a dead end.
-    reach = [False] * graph.n
-    reach[t] = True
-    rev: dict[int, list[int]] = {}
-    for u, v, _ in table.tight:
-        rev.setdefault(v, []).append(u)
-    frontier = [t]
-    while frontier:
-        v = frontier.pop()
-        for u in rev.get(v, ()):
-            if not reach[u]:
-                reach[u] = True
-                frontier.append(u)
-    path = [s]
-    u = s
-    while u != t:
-        u = min(v for v, _ in succ.get(u, ()) if reach[v])
-        path.append(u)
-    return tuple(path)
+    return dag_extreme_path(table, graph.weights, s, t, "min")[1]
 
 
-@dataclass(frozen=True)
-class _PairRows:
-    """Constraint rows contributed by one designated pair."""
+def _designated_distance(graph: WeightedGraph, s: int, t: int, designated: Path) -> Fraction:
+    """d_G(s, t), after checking that ``designated`` is a shortest path."""
+    d_g = shortest_paths(graph, s).dist[t]
+    if graph.path_weight(designated) != d_g:
+        raise ValueError(f"designated path for ({s},{t}) is not a shortest path")
+    return d_g
 
-    pair: tuple[int, int]
-    designated: Path
-    rows: tuple[Constraint, ...]
+
+def _pair_coeffs(
+    graph: WeightedGraph, alt: Path, des_edges: Mapping[int, int], alpha: Fraction
+) -> dict[str, Fraction]:
+    """Edge counts of ``alt`` minus alpha times the designated edge counts."""
+    coeffs = {
+        edge_var(graph, idx): Fraction(cnt) for idx, cnt in _edge_counter(graph, alt).items()
+    }
+    for idx, cnt in des_edges.items():
+        var = edge_var(graph, idx)
+        coeffs[var] = coeffs.get(var, Fraction(0)) - alpha * cnt
+    return coeffs
 
 
 def _preservation_rows_for_pair(
@@ -154,31 +92,22 @@ def _preservation_rows_for_pair(
     ties: str,
     budget: WorkBudget,
     alternatives: Iterable[Path] | None = None,
-) -> _PairRows:
-    d_table = shortest_paths(graph, s)
-    d_g = d_table.dist[t]
-    w_des = graph.path_weight(designated)
-    if w_des != d_g:
-        raise ValueError(f"designated path for ({s},{t}) is not a shortest path")
+) -> list[Constraint]:
+    d_g = _designated_distance(graph, s, t, designated)
     if alternatives is None:
         alternatives = [p for p in simple_paths(graph, s, t, budget) if p != designated]
     des_edges = _edge_counter(graph, designated)
     rows = []
     for alt in alternatives:
-        alt_edges = _edge_counter(graph, alt)
+        coeffs = _pair_coeffs(graph, alt, des_edges, Fraction(1))
         tied = graph.path_weight(alt) == d_g
         if tied and ties == "error":
             raise ValueError(f"pair ({s},{t}) has tied shortest paths and no tie policy")
-        coeffs: dict[str, Fraction] = {}
-        for idx, cnt in alt_edges.items():
-            coeffs[edge_var(graph, idx)] = Fraction(cnt)
-        for idx, cnt in des_edges.items():
-            coeffs[edge_var(graph, idx)] = coeffs.get(edge_var(graph, idx), Fraction(0)) - cnt
         rel = "==" if (tied and ties == "all") else ">="
         rhs = Fraction(0) if tied else eps
         note = f"pair ({s},{t}): alt {_path_str(alt)} vs designated {_path_str(designated)}"
         rows.append(Constraint(coeffs=coeffs, rel=rel, rhs=rhs, note=note))
-    return _PairRows(pair=(s, t), designated=designated, rows=tuple(rows))
+    return rows
 
 
 def _edge_counter(graph: WeightedGraph, path: Sequence[int]) -> dict[int, int]:
@@ -225,10 +154,9 @@ def build_preservation_lp(
     paths.validate_in(graph)
     constraints = _positivity_rows(graph)
     for (s, t) in paths.pairs():
-        pair_rows = _preservation_rows_for_pair(
-            graph, s, t, paths.entries[(s, t)], eps, ties, budget
+        constraints.extend(
+            _preservation_rows_for_pair(graph, s, t, paths.entries[(s, t)], eps, ties, budget)
         )
-        constraints.extend(pair_rows.rows)
     variables = tuple(edge_var(graph, i) for i in range(graph.m))
     return LinearProgram(
         variables=variables,
@@ -265,22 +193,14 @@ def build_separation_lp(
     constraints = _positivity_rows(graph)
     for (s, t) in paths.pairs():
         designated = paths.entries[(s, t)]
-        d_g = shortest_paths(graph, s).dist[t]
-        if graph.path_weight(designated) != d_g:
-            raise ValueError(f"designated path for ({s},{t}) is not a shortest path")
+        _designated_distance(graph, s, t, designated)
         des_edges = _edge_counter(graph, designated)
         for alt in simple_paths(graph, s, t, budget):
             if alt == designated:
                 continue
-            coeffs: dict[str, Fraction] = {}
-            for idx, cnt in _edge_counter(graph, alt).items():
-                coeffs[edge_var(graph, idx)] = Fraction(cnt)
-            for idx, cnt in des_edges.items():
-                var = edge_var(graph, idx)
-                coeffs[var] = coeffs.get(var, Fraction(0)) - alpha_h * cnt
             constraints.append(
                 Constraint(
-                    coeffs=coeffs,
+                    coeffs=_pair_coeffs(graph, alt, des_edges, alpha_h),
                     rel=">=",
                     rhs=eps,
                     note=(
@@ -308,7 +228,6 @@ def min_aspect_ratio(
     eps: RationalLike,
     ties: str = "one",
     budget: int | WorkBudget = DEFAULT_ENUM_BUDGET,
-    max_rounds: int = 500,
 ) -> tuple[Fraction, WeightMap, LpCertificate]:
     """Minimum aspect ratio of any preserving reweighting, margin eps.
 
@@ -362,7 +281,7 @@ def min_aspect_ratio(
         active.append(row)
         return True
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         lp = LinearProgram(
             variables=variables,
             constraints=tuple(active),
@@ -406,14 +325,13 @@ def min_aspect_ratio(
             else:
                 designated = canonical_designated_path(graph, s, t)
                 alternatives = [witness.path]
-            pair_rows = _preservation_rows_for_pair(
+            for row in _preservation_rows_for_pair(
                 graph, s, t, designated, eps, ties, budget, alternatives=alternatives
-            )
-            for row in pair_rows.rows:
+            ):
                 progressed |= activate(row)
         if not progressed:
             raise RuntimeError("verification found witnesses but no new row; giving up")
-    raise RuntimeError(f"did not converge within {max_rounds} augmentation rounds")
+    raise RuntimeError(f"did not converge within {_MAX_ROUNDS} augmentation rounds")
 
 
 def _violation_size(assignment: Mapping[str, Fraction]):

@@ -1,5 +1,10 @@
-"""Shortest-path machinery: exact Dijkstra, bounded walk enumeration, and
-dynamic programming over tight-edge subgraphs.
+"""Shortest-path machinery: exact Dijkstra, bounded walk and simple-path
+enumeration, and dynamic programming over tight-edge subgraphs.
+
+This is the only module that walks the graph.  One Dijkstra loop serves both
+directions: forward from a source over ``graph.adjacency``, and backward to
+a target over ``graph.incoming``, whose distances-to-target prune the walk
+and simple-path enumerators.
 
 The tight-edge subgraph of a source (edges with dist(v) = dist(u) + w(u,v))
 contains exactly the shortest paths from that source, and is acyclic because
@@ -50,20 +55,7 @@ def shortest_paths(
     weights = graph.weights if wmap is None else wmap.weights
     if wmap is not None:
         wmap.validate_for(graph)
-    dist: list[Fraction | None] = [None] * graph.n
-    dist[source] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
-    done = [False] * graph.n
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, idx in graph.adjacency[u]:
-            nd = d + weights[idx]
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+    dist = _dijkstra(graph.adjacency, source, weights)
 
     tight: list[tuple[int, int, int]] = []
     for idx, (u, v, _) in enumerate(graph.edges):
@@ -78,6 +70,29 @@ def shortest_paths(
                 tight.append((a, b, idx))
     tight.sort()
     return DistanceTable(source=source, dist=tuple(dist), tight=tuple(tight))
+
+
+def _dijkstra(
+    adjacency: tuple[tuple[tuple[int, int], ...], ...],
+    source: int,
+    weights: tuple[Fraction, ...],
+) -> list[Fraction | None]:
+    """Distances from ``source`` along ``adjacency``; None if unreachable."""
+    dist: list[Fraction | None] = [None] * len(adjacency)
+    dist[source] = Fraction(0)
+    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
+    done = [False] * len(adjacency)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, idx in adjacency[u]:
+            nd = d + weights[idx]
+            if dist[v] is None or nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
 
 
 def enumerate_walks(
@@ -105,7 +120,7 @@ def enumerate_walks(
     if wmap is not None:
         wmap.validate_for(graph)
 
-    remaining = _distances_to_target(graph, t, weights)
+    remaining = _dijkstra(graph.incoming, t, weights)
     results: list[tuple[Path, Fraction]] = []
     if remaining[s] is None:  # t unreachable (never the case for s == t)
         return results
@@ -139,30 +154,44 @@ def enumerate_walks(
     return results
 
 
-def _distances_to_target(
-    graph: WeightedGraph, t: int, weights: tuple[Fraction, ...]
-) -> list[Fraction | None]:
-    """Shortest distance from every vertex to ``t`` (reverse Dijkstra)."""
-    into: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-    for idx, (u, v, _) in enumerate(graph.edges):
-        into[v].append((u, idx))
-        if not graph.directed:
-            into[u].append((v, idx))
-    dist: list[Fraction | None] = [None] * graph.n
-    dist[t] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), t)]
-    done = [False] * graph.n
-    while heap:
-        d, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for u, idx in into[v]:
-            nd = d + weights[idx]
-            if dist[u] is None or nd < dist[u]:
-                dist[u] = nd
-                heapq.heappush(heap, (nd, u))
-    return dist
+def simple_paths(
+    graph: WeightedGraph,
+    s: int,
+    t: int,
+    budget: int | WorkBudget = DEFAULT_WALK_BUDGET,
+) -> list[Path]:
+    """All simple s-to-t paths, lexicographically ordered.
+
+    Only vertices that can still reach ``t`` are entered, so dead branches
+    cost nothing.  ``budget`` meters expansions and raises when exhausted.
+    """
+    if isinstance(budget, int):
+        budget = WorkBudget(budget)
+    if s == t:
+        return [(s,)]
+    remaining = _dijkstra(graph.incoming, t, graph.weights)
+    if remaining[s] is None:
+        return []
+    results: list[Path] = []
+    path = [s]
+    on_path = {s}
+
+    def extend(u: int) -> None:
+        for v, _ in graph.adjacency[u]:
+            if v in on_path or remaining[v] is None:
+                continue
+            budget.spend()
+            path.append(v)
+            if v == t:
+                results.append(tuple(path))
+            else:
+                on_path.add(v)
+                extend(v)
+                on_path.discard(v)
+            path.pop()
+
+    extend(s)
+    return results
 
 
 def dag_extreme_cost(

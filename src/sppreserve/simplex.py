@@ -133,32 +133,25 @@ def solve_lp(lp: LinearProgram) -> LpCertificate:
     else:
         c_min = c_vec
 
+    # The dual route may decline (None) or recover an assignment that fails
+    # re-verification on degenerate programs; the direct form backs it up.
     use_dual = len(rows) > max(2 * n, n + 16) and all(c >= 0 for c in c_min)
-    result = _solve_via_dual(c_min, rows) if use_dual else None
-    if result is None:
-        result = _solve_min_standard(c_min, rows)
-    status, value, xs = result
-
-    if status != "optimal":
-        return LpCertificate(status=status, optimum=None, assignment={})
-    optimum = -value if lp.direction == "max" else value
-    assignment = {v: xs[i] for v, i in index.items()}
-    cert = LpCertificate(status="optimal", optimum=optimum, assignment=assignment)
-    if not verify_certificate(lp, cert):
-        if use_dual:  # degenerate recovery trouble: fall back to the direct form
-            status, value, xs = _solve_min_standard(c_min, rows)
-            if status != "optimal":
-                return LpCertificate(status=status, optimum=None, assignment={})
-            optimum = -value if lp.direction == "max" else value
-            cert = LpCertificate(
-                status="optimal",
-                optimum=optimum,
-                assignment={v: xs[i] for v, i in index.items()},
-            )
-            if verify_certificate(lp, cert):
-                return cert
-        raise RuntimeError("solver produced an assignment that fails re-verification")
-    return cert
+    routes = (_solve_via_dual, _solve_min_standard) if use_dual else (_solve_min_standard,)
+    for route in routes:
+        result = route(c_min, rows)
+        if result is None:
+            continue
+        status, value, xs = result
+        if status != "optimal":
+            return LpCertificate(status=status, optimum=None, assignment={})
+        cert = LpCertificate(
+            status="optimal",
+            optimum=-value if lp.direction == "max" else value,
+            assignment={v: xs[i] for v, i in index.items()},
+        )
+        if verify_certificate(lp, cert):
+            return cert
+    raise RuntimeError("solver produced an assignment that fails re-verification")
 
 
 def _to_ge_form(

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
 
 from sppreserve import (
     WeightedGraph,
@@ -26,20 +27,37 @@ from sppreserve.optimize import edge_var
 from sppreserve.simplex import Constraint, LinearProgram
 
 import oracles
+from strategies import weighted_graphs
 
 EPS = F(1, 10**9)
 
 
-def test_simple_paths_match_oracle():
-    graph, _ = gen_undirected_chain(2)
-    assert simple_paths(graph, 0, 7) == oracles.all_simple_paths(graph, 0, 7)
-    dag, _ = gen_grid(3, 2)
-    assert simple_paths(dag, 6, 2) == oracles.all_simple_paths(dag, 6, 2)
+@given(weighted_graphs(max_n=7))
+@example(gen_undirected_chain(2)[0])
+@example(gen_grid(3, 2)[0])
+def test_simple_paths_match_oracle(graph):
+    # Directed samples have dead ends (vertices that cannot reach t), which
+    # the reverse-distance pruning must skip without losing any path.
+    for s in range(graph.n):
+        for t in range(graph.n):
+            assert simple_paths(graph, s, t) == oracles.all_simple_paths(graph, s, t)
 
 
 def test_canonical_designated_path_is_lexmin_shortest():
     g = WeightedGraph(True, 4, ((0, 1, F(1)), (0, 2, F(1)), (1, 3, F(1)), (2, 3, F(1))))
     assert canonical_designated_path(g, 0, 3) == (0, 1, 3)
+
+
+@given(weighted_graphs(max_n=7))
+def test_canonical_designated_path_matches_oracle(graph):
+    for s in range(graph.n):
+        for t in range(graph.n):
+            dist, best = oracles.shortest_path_set(graph, s, t)
+            if dist is None:
+                with pytest.raises(ValueError, match="unreachable"):
+                    canonical_designated_path(graph, s, t)
+            else:
+                assert canonical_designated_path(graph, s, t) == min(best)
 
 
 def test_shortcut_preservation_lp_has_one_strict_row():
