@@ -100,31 +100,27 @@ def _best_rival_weight(
     t: int,
     designated: Path,
     start_bound: Fraction,
+    acyclic: bool,
 ) -> Fraction | None:
     """Exact weight of the lightest s-to-t walk other than ``designated``.
 
     Best effort, for margin reporting only (verdicts never depend on it).
-    On a DAG the rival set is just the simple paths, searched exactly; on
-    cyclic graphs the bound grows gently from ``start_bound`` (below which
-    the caller knows there is no rival), and once any rival appears under a
-    bound the minimum over that enumeration is the true minimum.  Returns
-    None when no rival surfaced within the probe budget.
+    On a DAG (``acyclic``: a directed graph without cycles) the rival set is
+    just the simple paths, searched exactly; on cyclic graphs the bound grows
+    gently from ``start_bound`` (below which the caller knows there is no
+    rival), and once any rival appears under a bound the minimum over that
+    enumeration is the true minimum.  Returns None when no rival surfaced
+    within the probe budget.
     """
     try:
-        if graph.directed:
-            topological_order(graph)
+        if acyclic:
             weights = [
                 graph.path_weight(p)
                 for p in simple_paths(graph, s, t, budget=_PROBE_BUDGET)
                 if p != designated
             ]
             return min(weights) if weights else None
-    except CycleError:
-        pass
-    except BudgetExceededError:
-        return None
-    bound = start_bound
-    try:
+        bound = start_bound
         for _ in range(4):
             bound = bound * 9 / 8
             rivals = [
@@ -150,6 +146,12 @@ def _audit_designated_family(
     worst: Fraction | None = None
     notes: list[str] = []
     passed = True
+    acyclic = graph.directed  # decided once for the family, not per pair
+    if acyclic:
+        try:
+            topological_order(graph)
+        except CycleError:
+            acyclic = False
     for (s, t) in system.pairs():
         designated = system.entries[(s, t)]
         res = unique_alpha_approx(graph, s, t, designated, alpha, budget=budget)
@@ -163,7 +165,7 @@ def _audit_designated_family(
                 f"<= alpha*designated {format_fraction(scaled)}"
             )
         else:
-            best = _best_rival_weight(graph, s, t, designated, scaled)
+            best = _best_rival_weight(graph, s, t, designated, scaled, acyclic)
             margin = None if best is None else best / scaled
         if margin is not None and (worst is None or margin < worst):
             worst = margin

@@ -10,9 +10,12 @@ Three notions are covered, from strict to loose:
 * two-sided stretch: every alpha_H-approximate walk of the reweighted graph
   is an alpha_G-approximate walk of the original.
 
-The first two are decided in polynomial time per pair by dynamic programming
-over the tight-edge subgraph; the two-sided check is enumeration based with
-an explicit work budget (it can error out, it never silently passes).
+The first two are decided in polynomial time: per source, one Dijkstra per
+weight function and one dynamic program over the tight-edge subgraph give
+the verdict for every target at once, all over integer-scaled weights;
+``Fraction`` values are built only for the witnesses reported.  The
+two-sided check is enumeration based with an explicit work budget (it can
+error out, it never silently passes).
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ from .core import (
 )
 from .search import (
     DEFAULT_WALK_BUDGET,
-    dag_extreme_path,
+    _dijkstra,
+    _extreme_sweep,
+    _tight_lists,
     enumerate_walks,
+    scale_to_integers,
     shortest_paths,
 )
 
@@ -108,46 +114,51 @@ class CheckReport:
         }
 
 
-def _one_direction(
+def _tight_dag_check(
     graph: WeightedGraph,
     wmap: WeightMap,
     alpha: Fraction,
-    flipped: bool,
+    flips: tuple[bool, ...],
 ) -> tuple[list[Witness], int]:
-    """Shared engine for the tight-subgraph checks.
+    """Shared engine for the tight-subgraph checks, one pass per source.
 
     With ``flipped`` False: every shortest path under ``wmap`` must have
     original weight at most alpha * d_G.  With ``flipped`` True the roles of
     the two weight functions swap (used by the "all" model, alpha = 1).
+    Both distance tables of a source serve every direction in ``flips``.
     """
-    check_weights = wmap if not flipped else None
-    cost_weights = graph.weights if not flipped else wmap.weights
+    g_ints, g_scale = scale_to_integers(graph.weights)
+    h_ints, h_scale = scale_to_integers(wmap.weights)
     witnesses: list[Witness] = []
     pairs = 0
     for s in range(graph.n):
-        table = shortest_paths(graph, s, check_weights)
-        ref = shortest_paths(graph, s, wmap if flipped else None)
-        for t in range(graph.n):
-            if t == s or table.dist[t] is None:
-                continue
-            pairs += 1
-            worst, path = dag_extreme_path(table, cost_weights, s, t, "max")
-            bound = alpha * ref.dist[t]
-            if worst > bound:
-                d_g = ref.dist[t] if not flipped else table.dist[t]
-                d_h = table.dist[t] if not flipped else ref.dist[t]
-                w_g = worst if not flipped else d_g
-                w_h = table.dist[t] if not flipped else worst
+        d_g = _dijkstra(graph.adjacency, s, g_ints)
+        d_h = _dijkstra(graph.adjacency, s, h_ints)
+        pairs += sum(d is not None for d in d_g) - 1
+        for flipped in flips:
+            # Tight subgraph of `table`; path costs and the bound `ref` are
+            # both in the other weight function's integer scale.
+            if flipped:
+                table, t_ints, ref, c_ints = d_g, g_ints, d_h, h_ints
+            else:
+                table, t_ints, ref, c_ints = d_h, h_ints, d_g, g_ints
+            worst, paths = _extreme_sweep(
+                _tight_lists(graph.adjacency, table, t_ints), table, s, c_ints, "max"
+            )
+            for t, w in enumerate(worst):
+                if t == s or w is None or w * alpha.denominator <= alpha.numerator * ref[t]:
+                    continue
+                dg, dh = Fraction(d_g[t], g_scale), Fraction(d_h[t], h_scale)
                 witnesses.append(
                     Witness(
                         s=s,
                         t=t,
-                        path=path,
-                        w_g=w_g,
-                        w_h=w_h,
-                        d_g=d_g,
-                        d_h=d_h,
-                        kind="new-shortest-not-shortest" if not flipped else "old-shortest-not-shortest",
+                        path=paths[t],
+                        w_g=dg if flipped else Fraction(w, g_scale),
+                        w_h=Fraction(w, h_scale) if flipped else dh,
+                        d_g=dg,
+                        d_h=dh,
+                        kind="old-shortest-not-shortest" if flipped else "new-shortest-not-shortest",
                     )
                 )
     return witnesses, pairs
@@ -163,16 +174,8 @@ def check_exact(graph: WeightedGraph, wmap: WeightMap, model: str = "one") -> Ch
     wmap.validate_for(graph)
     if model not in CHECK_MODELS:
         raise ValueError(f"model must be one of {CHECK_MODELS}")
-    witnesses: list[Witness] = []
-    pairs = 0
-    if model in ("one", "both"):
-        got, n_pairs = _one_direction(graph, wmap, Fraction(1), flipped=False)
-        witnesses.extend(got)
-        pairs = max(pairs, n_pairs)
-    if model in ("all", "both"):
-        got, n_pairs = _one_direction(graph, wmap, Fraction(1), flipped=True)
-        witnesses.extend(got)
-        pairs = max(pairs, n_pairs)
+    flips = {"one": (False,), "all": (True,), "both": (False, True)}[model]
+    witnesses, pairs = _tight_dag_check(graph, wmap, Fraction(1), flips)
     witnesses.sort(key=lambda w: (w.s, w.t, w.kind))
     return CheckReport(
         check=f"exact[{model}]",
@@ -189,7 +192,7 @@ def check_alpha(graph: WeightedGraph, wmap: WeightMap, alpha: RationalLike) -> C
     alpha = as_fraction(alpha)
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    witnesses, pairs = _one_direction(graph, wmap, alpha, flipped=False)
+    witnesses, pairs = _tight_dag_check(graph, wmap, alpha, (False,))
     witnesses.sort(key=lambda w: (w.s, w.t))
     return CheckReport(
         check=f"alpha[{format_fraction(alpha)}]",

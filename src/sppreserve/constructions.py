@@ -168,7 +168,8 @@ def gen_directed_chain(
         for a in range(3):
             b = _cycle_step(forward, 3, a)  # consecutive pair (a, b) on cycle i
             mid = succ_next(a)
-            assert succ_next(mid) == b
+            if succ_next(mid) != b:
+                raise RuntimeError(f"cycle {i}: {a}-{mid} does not continue to {b}")
             path = (
                 layout.vertex(i, a),
                 layout.vertex(i + 1, a),
@@ -268,8 +269,8 @@ def gen_grid(side: int, alpha_g: RationalLike) -> tuple[WeightedGraph, PathSyste
                 path = [layout.vertex(r, j) for r in range(i, k2 - 1, -1)]
                 path.append(layout.vertex(k2, j + 1))
                 key = (path[0], path[-1])
-                if key in entries:
-                    assert entries[key] == tuple(path)
+                if key in entries and entries[key] != tuple(path):
+                    raise RuntimeError(f"grid families disagree on the designated path for {key}")
                 entries[key] = tuple(path)
     system = PathSystem(entries=entries, alpha=alpha_g)
     system.validate_in(graph)

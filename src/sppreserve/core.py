@@ -1,8 +1,9 @@
 """Weighted graphs over exact rational weights.
 
-Everything in this package computes with ``fractions.Fraction``; no floating
-point is used anywhere, because the constructions of interest involve weights
-spanning exponential ranges where floats would silently lose strictness gaps.
+Everything in this package computes with ``fractions.Fraction`` (or with
+integers scaled from them by a common denominator); no floating point is used
+anywhere, because the constructions of interest involve weights spanning
+exponential ranges where floats would silently lose strictness gaps.
 All values are immutable after construction and every operation is a pure
 function of its inputs.
 """

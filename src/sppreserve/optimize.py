@@ -62,9 +62,17 @@ def canonical_designated_path(graph: WeightedGraph, s: int, t: int) -> Path:
     return dag_extreme_path(table, graph.weights, s, t, "min")[1]
 
 
-def _designated_distance(graph: WeightedGraph, s: int, t: int, designated: Path) -> Fraction:
-    """d_G(s, t), after checking that ``designated`` is a shortest path."""
-    d_g = shortest_paths(graph, s).dist[t]
+def _designated_distance(
+    graph: WeightedGraph, s: int, t: int, designated: Path, dist_from: dict[int, tuple]
+) -> Fraction:
+    """d_G(s, t), after checking that ``designated`` is a shortest path.
+
+    ``dist_from`` caches G-distances by source, so pairs that share a source
+    share one Dijkstra.
+    """
+    if s not in dist_from:
+        dist_from[s] = shortest_paths(graph, s).dist
+    d_g = dist_from[s][t]
     if graph.path_weight(designated) != d_g:
         raise ValueError(f"designated path for ({s},{t}) is not a shortest path")
     return d_g
@@ -91,9 +99,10 @@ def _preservation_rows_for_pair(
     eps: Fraction,
     ties: str,
     budget: WorkBudget,
+    dist_from: dict[int, tuple],
     alternatives: Iterable[Path] | None = None,
 ) -> list[Constraint]:
-    d_g = _designated_distance(graph, s, t, designated)
+    d_g = _designated_distance(graph, s, t, designated, dist_from)
     if alternatives is None:
         alternatives = [p for p in simple_paths(graph, s, t, budget) if p != designated]
     des_edges = _edge_counter(graph, designated)
@@ -153,9 +162,12 @@ def build_preservation_lp(
         budget = WorkBudget(budget)
     paths.validate_in(graph)
     constraints = _positivity_rows(graph)
+    dist_from: dict[int, tuple] = {}
     for (s, t) in paths.pairs():
         constraints.extend(
-            _preservation_rows_for_pair(graph, s, t, paths.entries[(s, t)], eps, ties, budget)
+            _preservation_rows_for_pair(
+                graph, s, t, paths.entries[(s, t)], eps, ties, budget, dist_from
+            )
         )
     variables = tuple(edge_var(graph, i) for i in range(graph.m))
     return LinearProgram(
@@ -191,9 +203,10 @@ def build_separation_lp(
         budget = WorkBudget(budget)
     paths.validate_in(graph)
     constraints = _positivity_rows(graph)
+    dist_from: dict[int, tuple] = {}
     for (s, t) in paths.pairs():
         designated = paths.entries[(s, t)]
-        _designated_distance(graph, s, t, designated)
+        _designated_distance(graph, s, t, designated, dist_from)
         des_edges = _edge_counter(graph, designated)
         for alt in simple_paths(graph, s, t, budget):
             if alt == designated:
@@ -271,6 +284,7 @@ def min_aspect_ratio(
         )
     variables = tuple(edge_var(graph, i) for i in range(graph.m)) + (ASPECT_VAR,)
     known_rows = {(c.rel, c.rhs, frozenset(c.coeffs.items())) for c in active}
+    dist_from: dict[int, tuple] = {}
     gate_model = "both" if ties == "all" else "one"
 
     def activate(row: Constraint) -> bool:
@@ -326,7 +340,7 @@ def min_aspect_ratio(
                 designated = canonical_designated_path(graph, s, t)
                 alternatives = [witness.path]
             for row in _preservation_rows_for_pair(
-                graph, s, t, designated, eps, ties, budget, alternatives=alternatives
+                graph, s, t, designated, eps, ties, budget, dist_from, alternatives=alternatives
             ):
                 progressed |= activate(row)
         if not progressed:

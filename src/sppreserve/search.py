@@ -4,17 +4,22 @@ enumeration, and dynamic programming over tight-edge subgraphs.
 This is the only module that walks the graph.  One Dijkstra loop serves both
 directions: forward from a source over ``graph.adjacency``, and backward to
 a target over ``graph.incoming``, whose distances-to-target prune the walk
-and simple-path enumerators.
+and simple-path enumerators.  It runs on ``Fraction`` weights or on the
+integers :func:`scale_to_integers` makes of them; a positive common scale
+changes no sum comparison, so the hot loops of the checkers run on ints.
 
 The tight-edge subgraph of a source (edges with dist(v) = dist(u) + w(u,v))
 contains exactly the shortest paths from that source, and is acyclic because
 all weights are positive; that is what lets the checkers evaluate "every
-shortest path" questions in polynomial time.
+shortest path" questions in polynomial time.  One dynamic program sweeps it
+per source, in (dist, vertex) order, and yields the extreme cost of every
+target at once.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,31 +61,58 @@ def shortest_paths(
     if wmap is not None:
         wmap.validate_for(graph)
     dist = _dijkstra(graph.adjacency, source, weights)
+    succ = _tight_lists(graph.adjacency, dist, weights)
+    tight = tuple((u, v, idx) for u, out in enumerate(succ) for v, idx in out)
+    return DistanceTable(source=source, dist=tuple(dist), tight=tight)
 
-    tight: list[tuple[int, int, int]] = []
-    for idx, (u, v, _) in enumerate(graph.edges):
-        for a, b in ((u, v),) if graph.directed else ((u, v), (v, u)):
-            da, db = dist[a], dist[b]
-            if da is None or db is None:
-                continue
-            # Dijkstra guarantees db <= da + w; equality marks a tight edge,
-            # so every source-to-t path inside `tight` telescopes to dist(t).
-            assert db <= da + weights[idx]
-            if db == da + weights[idx]:
-                tight.append((a, b, idx))
-    tight.sort()
-    return DistanceTable(source=source, dist=tuple(dist), tight=tuple(tight))
+
+def scale_to_integers(weights: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """``(ints, D)`` with ints[i] = weights[i] * D and D the lcm of the
+    denominators.  Scaling every weight by the same positive D changes no
+    comparison between path sums, so searches may run on ``ints``; a sum x
+    of them stands for the rational x / D.
+    """
+    scale = math.lcm(*(w.denominator for w in weights))
+    return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
+
+
+def _tight_lists(
+    adjacency: tuple[tuple[tuple[int, int], ...], ...],
+    dist: list | tuple,
+    weights: tuple,
+) -> list[list[tuple[int, int]]]:
+    """Per-vertex sorted (v, edge_index) traversals with dist(v) = dist(u) + w.
+
+    Every source-to-t path over these traversals telescopes to dist(t).
+    """
+    succ: list[list[tuple[int, int]]] = []
+    for du, adj in zip(dist, adjacency):
+        out: list[tuple[int, int]] = []
+        if du is not None:
+            for v, idx in adj:
+                dv = du + weights[idx]
+                if dist[v] == dv:
+                    out.append((v, idx))
+                elif dist[v] > dv:  # Dijkstra guarantees dist(v) <= dist(u) + w
+                    raise RuntimeError(
+                        f"distance table is not shortest: edge #{idx} shortens the path to {v}"
+                    )
+        succ.append(out)
+    return succ
 
 
 def _dijkstra(
     adjacency: tuple[tuple[tuple[int, int], ...], ...],
     source: int,
-    weights: tuple[Fraction, ...],
-) -> list[Fraction | None]:
-    """Distances from ``source`` along ``adjacency``; None if unreachable."""
-    dist: list[Fraction | None] = [None] * len(adjacency)
-    dist[source] = Fraction(0)
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), source)]
+    weights: tuple,
+) -> list:
+    """Distances from ``source`` along ``adjacency``; None if unreachable.
+
+    Sums are of the weights' own type: Fractions, or scaled ints.
+    """
+    dist: list = [None] * len(adjacency)
+    dist[source] = 0
+    heap: list[tuple] = [(0, source)]
     done = [False] * len(adjacency)
     while heap:
         d, u = heapq.heappop(heap)
@@ -225,27 +257,46 @@ def dag_extreme_path(
     costs = alt_costs.weights if isinstance(alt_costs, WeightMap) else tuple(alt_costs)
     if tight.dist[t] is None:
         raise ValueError("no tight path")
+    by_tail = tight.tight_successors()
+    succ = [by_tail.get(u, []) for u in range(len(tight.dist))]
+    best, paths = _extreme_sweep(succ, tight.dist, s, costs, mode)
+    return best[t], paths[t]
 
-    succ = tight.tight_successors()
-    # Tight edges strictly increase dist, so (dist, vertex) sorts vertices in
-    # a topological order of the tight subgraph.
-    order = sorted(
-        (v for v in range(len(tight.dist)) if tight.dist[v] is not None),
-        key=lambda v: (tight.dist[v], v),
-    )
-    best: dict[int, tuple[Fraction, Path]] = {s: (Fraction(0), (s,))}
-    better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
-    for u in order:
-        if u not in best:
-            continue
-        base, bpath = best[u]
-        for v, idx in succ.get(u, ()):
+
+def _extreme_sweep(
+    succ: list[list[tuple[int, int]]],
+    dist: list | tuple,
+    source: int,
+    costs: tuple,
+    mode: str,
+) -> tuple[list, list[Path | None]]:
+    """Min or max of sum(costs) over the tight source-to-v paths, for every v.
+
+    ``succ`` is the tight subgraph of ``dist`` (see :func:`_tight_lists`);
+    costs may be ints or Fractions.  Returns ``(best, paths)``, None where v
+    is unreachable; ``paths[v]`` is the lexicographically smallest extremal
+    path.  In a DAG that path minus its last vertex is the lexicographically
+    smallest extremal path to its predecessor, so one path per vertex is kept.
+    """
+    n = len(dist)
+    best: list = [None] * n
+    paths: list[Path | None] = [None] * n
+    best[source] = 0
+    paths[source] = (source,)
+    maximize = mode == "max"
+    # Tight edges strictly increase dist, so (dist, vertex) order is a
+    # topological order of the tight subgraph: every tight predecessor of u
+    # is final before u is expanded.
+    for u in sorted((v for v in range(n) if dist[v] is not None), key=lambda v: (dist[v], v)):
+        base, bpath = best[u], paths[u]
+        for v, idx in succ[u]:
             cand = base + costs[idx]
-            cpath = bpath + (v,)
-            if v not in best or better(cand, best[v][0]) or (
-                cand == best[v][0] and cpath < best[v][1]
-            ):
-                best[v] = (cand, cpath)
-    if t not in best:
-        raise ValueError("no tight path")
-    return best[t]
+            old = best[v]
+            if old is None or (cand > old if maximize else cand < old):
+                best[v] = cand
+                paths[v] = bpath + (v,)
+            elif cand == old:
+                cpath = bpath + (v,)
+                if cpath < paths[v]:
+                    paths[v] = cpath
+    return best, paths

@@ -2,14 +2,15 @@
 
 Everything here works by plain DFS over the raw edge list: no Dijkstra, no
 tight-subgraph DP, no pruning beyond the weight bound itself.  Slow on
-purpose; only run on small graphs.
+purpose; only run on small graphs.  The one exception is the reference
+checker engine at the end, a per-pair DP kept to test the checkers against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from sppreserve import WeightMap, WeightedGraph
+from sppreserve import WeightMap, WeightedGraph, shortest_paths
 
 
 def adjacency(graph: WeightedGraph, weights=None) -> list[list[tuple[int, Fraction]]]:
@@ -114,3 +115,69 @@ def brute_check_alpha(graph: WeightedGraph, wmap: WeightMap, alpha: Fraction) ->
                 if path_weight(graph, path) > alpha * d_g:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference engine for check_exact / check_alpha: one Dijkstra pair and one
+# tight-DAG dynamic program per (s, t) pair, all in Fraction arithmetic.  It
+# uses the package's shortest_paths, but its own per-pair DP, so the
+# per-source integer sweep of the checkers is compared against it.
+
+
+def reference_dag_extreme_path(table, costs, s, t, mode):
+    """Extreme-cost s-to-t path of the tight DAG, lexicographically smallest
+    among equal costs, by a full DP for this one target."""
+    succ = table.tight_successors()
+    order = sorted(
+        (v for v in range(len(table.dist)) if table.dist[v] is not None),
+        key=lambda v: (table.dist[v], v),
+    )
+    best = {s: (Fraction(0), (s,))}
+    better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
+    for u in order:
+        if u not in best:
+            continue
+        base, bpath = best[u]
+        for v, idx in succ.get(u, ()):
+            cand = base + costs[idx]
+            cpath = bpath + (v,)
+            if v not in best or better(cand, best[v][0]) or (
+                cand == best[v][0] and cpath < best[v][1]
+            ):
+                best[v] = (cand, cpath)
+    return best[t]
+
+
+def _reference_direction(graph, wmap, alpha, flipped):
+    check_weights = wmap if not flipped else None
+    cost_weights = graph.weights if not flipped else wmap.weights
+    witnesses = []
+    pairs = 0
+    for s in range(graph.n):
+        table = shortest_paths(graph, s, check_weights)
+        ref = shortest_paths(graph, s, wmap if flipped else None)
+        for t in range(graph.n):
+            if t == s or table.dist[t] is None:
+                continue
+            pairs += 1
+            worst, path = reference_dag_extreme_path(table, cost_weights, s, t, "max")
+            if worst > alpha * ref.dist[t]:
+                d_g = ref.dist[t] if not flipped else table.dist[t]
+                d_h = table.dist[t] if not flipped else ref.dist[t]
+                w_g = worst if not flipped else d_g
+                w_h = table.dist[t] if not flipped else worst
+                kind = "old-shortest-not-shortest" if flipped else "new-shortest-not-shortest"
+                witnesses.append((s, t, path, w_g, w_h, d_g, d_h, kind))
+    return witnesses, pairs
+
+
+def reference_check(graph: WeightedGraph, wmap: WeightMap, alpha: Fraction, flips):
+    """(witness tuples in report order, pairs_checked) of check_exact
+    (alpha = 1, flips from the model) or check_alpha (flips = (False,))."""
+    witnesses = []
+    pairs = 0
+    for flipped in flips:
+        got, pairs = _reference_direction(graph, wmap, alpha, flipped)
+        witnesses.extend(got)
+    witnesses.sort(key=lambda w: (w[0], w[1], w[7]))
+    return witnesses, pairs

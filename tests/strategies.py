@@ -16,7 +16,9 @@ positive_fractions = st.builds(
 
 
 @st.composite
-def weighted_graphs(draw, directed=None, max_n=8, min_n=1, connected_hint=True):
+def weighted_graphs(
+    draw, directed=None, max_n=8, min_n=1, connected_hint=True, weights=positive_fractions
+):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     if directed is None:
         directed = draw(st.booleans())
@@ -36,7 +38,7 @@ def weighted_graphs(draw, directed=None, max_n=8, min_n=1, connected_hint=True):
         spine = [(i, i + 1) for i in range(n - 1)]
         picked = list(dict.fromkeys(spine + picked))
     edges = tuple(
-        (u, v, draw(positive_fractions)) for u, v in picked
+        (u, v, draw(weights)) for u, v in picked
     )
     return WeightedGraph(directed=directed, n=n, edges=edges)
 
@@ -56,7 +58,11 @@ def weighted_dags(draw, max_n=8, max_extra=8):
 
 
 @st.composite
-def graph_with_map(draw, **kwargs):
-    graph = draw(weighted_graphs(**kwargs))
-    weights = tuple(draw(positive_fractions) for _ in range(graph.m))
-    return graph, (WeightMap(weights) if graph.m else WeightMap(()))
+def graph_with_map(draw, weights=positive_fractions, **kwargs):
+    graph = draw(weighted_graphs(weights=weights, **kwargs))
+    new = tuple(draw(weights) for _ in range(graph.m))
+    return graph, (WeightMap(new) if graph.m else WeightMap(()))
+
+
+#: Weights from {1, 2}: many equal-weight shortest paths, so tie-breaks matter.
+tie_heavy_weights = st.sampled_from([Fraction(1), Fraction(2)])

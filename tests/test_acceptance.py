@@ -31,6 +31,7 @@ from sppreserve import (
     price_identity,
     recombine,
     reweight_dag,
+    shortest_paths,
     undirected_to_directed,
 )
 
@@ -237,3 +238,38 @@ def test_criterion_8_reduction():
             assert check_exact(graph, recombine(priced), model="both").passed
             assert aspect_ratio(graph, recombine(priced)) <= aspect_ratio(doubled, priced)
         assert preserving_seen >= 30  # the pass-implies-pass branch was exercised
+
+
+def test_criterion_9_check_exact_at_scale():
+    rng = random.Random(2024)
+    n, m = 200, 800
+    order = rng.sample(range(n), n)
+    pairs = {(order[i], order[(i + 1) % n]) for i in range(n)}  # strongly connected
+    while len(pairs) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((u, v))
+    graph = WeightedGraph(
+        True, n, tuple((u, v, F(rng.randint(1, 30), rng.randint(1, 4))) for u, v in sorted(pairs))
+    )
+    wmap = WeightMap(tuple(F(rng.randint(1, 30), rng.randint(1, 4)) for _ in range(m)))
+    # A positive multiple of the original weights preserves every pair.
+    doubled = WeightMap(tuple(2 * x for x in graph.weights))
+    with Criterion(9, "check_exact[both] on a random digraph, n=200, m=800", 20):
+        report = check_exact(graph, wmap, model="both")
+        assert check_exact(graph, doubled, model="both").passed
+    # Every witness re-validates outside the timed block.
+    assert report.pairs_checked == n * (n - 1)
+    assert report.witnesses
+    tables = {}
+    for w in report.witnesses:
+        if w.s not in tables:
+            tables[w.s] = (shortest_paths(graph, w.s).dist, shortest_paths(graph, w.s, wmap).dist)
+        d_g, d_h = tables[w.s]
+        assert (w.d_g, w.d_h) == (d_g[w.t], d_h[w.t])
+        assert graph.path_weight(w.path) == w.w_g
+        assert graph.path_weight(w.path, wmap) == w.w_h
+        if w.kind == "new-shortest-not-shortest":
+            assert w.w_h == w.d_h and w.w_g > w.d_g
+        else:
+            assert w.w_g == w.d_g and w.w_h > w.d_h

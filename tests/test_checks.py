@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sppreserve import (
     BudgetExceededError,
@@ -10,15 +11,17 @@ from sppreserve import (
     check_alpha,
     check_exact,
     check_two_sided,
+    dag_extreme_path,
     fig1_fixture,
     gen_directed_chain,
     gen_grid,
     gen_undirected_chain,
+    shortest_paths,
     unique_alpha_approx,
 )
 
 import oracles
-from strategies import graph_with_map
+from strategies import graph_with_map, tie_heavy_weights
 
 
 def test_fig1_passes_exact_in_all_models():
@@ -200,3 +203,35 @@ def test_witnesses_revalidate(pair):
             assert w.w_h == w.d_h and w.w_g > w.d_g
         else:
             assert w.w_g == w.d_g and w.w_h > w.d_h
+
+
+def _witness_tuples(report):
+    return [
+        (w.s, w.t, w.path, w.w_g, w.w_h, w.d_g, w.d_h, w.kind) for w in report.witnesses
+    ], report.pairs_checked
+
+
+@given(st.one_of(graph_with_map(max_n=7), graph_with_map(max_n=7, weights=tie_heavy_weights)))
+@settings(max_examples=100)
+def test_checkers_match_per_pair_reference_engine(pair):
+    # The per-source integer sweep against the per-pair Fraction DP: same
+    # witnesses (lexicographic tie-break included), same order, same pairs.
+    graph, wmap = pair
+    flips = {"one": (False,), "all": (True,), "both": (False, True)}
+    for model, model_flips in flips.items():
+        assert _witness_tuples(check_exact(graph, wmap, model=model)) == oracles.reference_check(
+            graph, wmap, F(1), model_flips
+        )
+    for alpha in (F(1), F(3, 2), F(3)):
+        assert _witness_tuples(check_alpha(graph, wmap, alpha)) == oracles.reference_check(
+            graph, wmap, alpha, (False,)
+        )
+    for s in range(graph.n):
+        table = shortest_paths(graph, s, wmap)
+        for t in range(graph.n):
+            if table.dist[t] is None:
+                continue
+            for mode in ("min", "max"):
+                assert dag_extreme_path(
+                    table, graph.weights, s, t, mode
+                ) == oracles.reference_dag_extreme_path(table, graph.weights, s, t, mode)
