@@ -44,7 +44,11 @@ class LemmaCheck:
 
     The margin of a designated pair is (best rival weight) / (alpha *
     designated weight); the claim holds exactly when every margin exceeds 1.
-    A margin of None means no rival walk was found within the probe bound.
+    ``worst_margin`` is the least margin over the pairs whose margin is
+    known: failing pairs, and passing pairs whose rival probe returned a
+    weight.  Pairs whose probe gave up or found no rival (see
+    ``_best_rival_weight``) are skipped, so it is an upper bound on the true
+    worst margin; None when no margin is known.  Verdicts never depend on it.
     """
 
     tag: str
@@ -110,7 +114,9 @@ def _best_rival_weight(
     gently from ``start_bound`` (below which the caller knows there is no
     rival), and once any rival appears under a bound the minimum over that
     enumeration is the true minimum.  Returns None when no rival surfaced
-    within the probe budget.
+    within the probe bound or when the probe ran out of its budget of
+    ``_PROBE_BUDGET`` expansions (the ``BudgetExceededError`` is swallowed);
+    the caller then leaves the pair out of the worst margin.
     """
     try:
         if acyclic:

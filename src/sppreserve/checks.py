@@ -32,6 +32,7 @@ from .core import (
     as_fraction,
     format_fraction,
     is_simple,
+    scale_to_integers,
 )
 from .search import (
     DEFAULT_WALK_BUDGET,
@@ -39,7 +40,6 @@ from .search import (
     _extreme_sweep,
     _tight_lists,
     enumerate_walks,
-    scale_to_integers,
     shortest_paths,
 )
 

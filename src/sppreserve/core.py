@@ -10,6 +10,7 @@ function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -62,6 +63,17 @@ def as_fraction(value: RationalLike) -> Fraction:
 def format_fraction(value: Fraction) -> str:
     """Render a Fraction as canonical ``p/q`` text (lowest terms)."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def scale_to_integers(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """``(ints, D)`` with ints[i] = values[i] * D and D the lcm of the
+    denominators.  Scaling by the same positive D changes no comparison
+    between sums of the values, so searches may run on ``ints`` (a sum x of
+    them stands for the rational x / D), and a linear equation may be
+    multiplied through by D.
+    """
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ every pair up front.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .checks import check_exact
 from .constructions import GridLayout, gen_grid
@@ -32,8 +32,9 @@ from .core import (
     WorkBudget,
     as_fraction,
     format_fraction,
+    scale_to_integers,
 )
-from .search import dag_extreme_path, shortest_paths, simple_paths
+from .search import _dijkstra, _extreme_sweep, _tight_lists, shortest_paths, simple_paths
 from .simplex import Constraint, LinearProgram, LpCertificate, solve_lp
 
 DEFAULT_ENUM_BUDGET = 10**6
@@ -56,10 +57,33 @@ def canonical_designated_path(graph: WeightedGraph, s: int, t: int) -> Path:
     Every tight path weighs d_G(s, t), so the minimum-weight tight-DAG path,
     with its lexicographic tie-break, is exactly this path.
     """
-    table = shortest_paths(graph, s)
-    if table.dist[t] is None:
-        raise ValueError(f"{t} is unreachable from {s}")
-    return dag_extreme_path(table, graph.weights, s, t, "min")[1]
+    return _canonical_path_finder(graph, graph.weights)(s, t)
+
+
+def _canonical_path_finder(
+    graph: WeightedGraph, weights: tuple[Fraction, ...]
+) -> Callable[[int, int], Path]:
+    """:func:`canonical_designated_path` of ``graph`` under ``weights``.
+
+    The returned function runs one integer Dijkstra and one tight-DAG sweep
+    per source, on first use, and keeps the paths to every target.
+    """
+    ints, _ = scale_to_integers(weights)
+    by_source: dict[int, list[Path | None]] = {}
+
+    def find(s: int, t: int) -> Path:
+        if s not in by_source:
+            if not (0 <= s < graph.n):
+                raise ValueError(f"source {s} out of range")
+            dist = _dijkstra(graph.adjacency, s, ints)
+            succ = _tight_lists(graph.adjacency, dist, ints)
+            by_source[s] = _extreme_sweep(succ, dist, s, ints, "min")[1]
+        path = by_source[s][t]
+        if path is None:
+            raise ValueError(f"{t} is unreachable from {s}")
+        return path
+
+    return find
 
 
 def _designated_distance(
@@ -285,6 +309,7 @@ def min_aspect_ratio(
     variables = tuple(edge_var(graph, i) for i in range(graph.m)) + (ASPECT_VAR,)
     known_rows = {(c.rel, c.rhs, frozenset(c.coeffs.items())) for c in active}
     dist_from: dict[int, tuple] = {}
+    g_canonical = _canonical_path_finder(graph, graph.weights)
     gate_model = "both" if ties == "all" else "one"
 
     def activate(row: Constraint) -> bool:
@@ -325,7 +350,7 @@ def min_aspect_ratio(
         if report.passed:
             return cert.optimum, wmap, cert
         progressed = False
-        h_graph = graph.with_weights(wmap)
+        h_canonical = _canonical_path_finder(graph, wmap.weights)
         for witness in report.witnesses:
             s, t = witness.s, witness.t
             if witness.kind == "old-shortest-not-shortest":
@@ -333,11 +358,11 @@ def min_aspect_ratio(
                 # beats it (tied rivals force equality under the "all" model,
                 # others get the strict margin).
                 designated = witness.path
-                alternatives = [canonical_designated_path(h_graph, s, t)]
+                alternatives = [h_canonical(s, t)]
                 if alternatives[0] == designated:
                     continue
             else:
-                designated = canonical_designated_path(graph, s, t)
+                designated = g_canonical(s, t)
                 alternatives = [witness.path]
             for row in _preservation_rows_for_pair(
                 graph, s, t, designated, eps, ties, budget, dist_from, alternatives=alternatives

@@ -5,7 +5,7 @@ This is the only module that walks the graph.  One Dijkstra loop serves both
 directions: forward from a source over ``graph.adjacency``, and backward to
 a target over ``graph.incoming``, whose distances-to-target prune the walk
 and simple-path enumerators.  It runs on ``Fraction`` weights or on the
-integers :func:`scale_to_integers` makes of them; a positive common scale
+integers ``core.scale_to_integers`` makes of them; a positive common scale
 changes no sum comparison, so the hot loops of the checkers run on ints.
 
 The tight-edge subgraph of a source (edges with dist(v) = dist(u) + w(u,v))
@@ -19,7 +19,6 @@ target at once.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,16 +63,6 @@ def shortest_paths(
     succ = _tight_lists(graph.adjacency, dist, weights)
     tight = tuple((u, v, idx) for u, out in enumerate(succ) for v, idx in out)
     return DistanceTable(source=source, dist=tuple(dist), tight=tight)
-
-
-def scale_to_integers(weights: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
-    """``(ints, D)`` with ints[i] = weights[i] * D and D the lcm of the
-    denominators.  Scaling every weight by the same positive D changes no
-    comparison between path sums, so searches may run on ``ints``; a sum x
-    of them stands for the rational x / D.
-    """
-    scale = math.lcm(*(w.denominator for w in weights))
-    return tuple(w.numerator * (scale // w.denominator) for w in weights), scale
 
 
 def _tight_lists(

@@ -1,10 +1,22 @@
 """Exact-rational linear programming.
 
-A dense two-phase tableau simplex over ``fractions.Fraction``.  All variables
-are implicitly nonnegative; explicit lower bounds (such as the weight >= 1
-normalization used elsewhere) are ordinary constraint rows.  Anti-cycling:
-the pivot rule is steepest-coefficient normally and switches to Bland's rule
-while the objective stalls, which preserves both speed and termination.
+A dense two-phase tableau simplex.  Input and output are
+``fractions.Fraction``; the tableau itself holds integers.  Each constraint
+row is multiplied through by the lcm of its denominators, and pivoting
+eliminates with integer combinations followed by division by the row's gcd,
+so a row is its integer numerators over one positive denominator: the entry
+of its basic column, which stands for 1.  The cost rows carry their
+denominator explicitly.  The pivot decisions are those of the rational
+tableau, read from integers: the entering column compares numerators of the
+cost row, the ratio test cross-multiplies, ties go to the smaller basis
+index.  ``Fraction`` values are built only when results are read out, and
+in :func:`verify_certificate`, which re-checks them independently.
+
+All variables are implicitly nonnegative; explicit lower bounds (such as the
+weight >= 1 normalization used elsewhere) are ordinary constraint rows.
+Anti-cycling: the pivot rule is steepest-coefficient normally and switches
+to Bland's rule while the objective stalls, which preserves both speed and
+termination.
 
 Programs whose constraint count dwarfs the variable count (the path
 enumeration encodings do this) are solved through their duals: the dual has
@@ -16,11 +28,12 @@ module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import as_fraction, format_fraction
+from .core import as_fraction, format_fraction, scale_to_integers
 
 RELATIONS = ("<=", ">=", "==")
 
@@ -225,120 +238,158 @@ def _solve_min_standard_ex(
         work.append((vec, rel, rhs))
 
     zero = Fraction(0)
-    one = Fraction(1)
     n_slack = sum(1 for _, rel, _ in work if rel in ("<=", ">="))
-    needs_artificial = [i for i, (_, rel, _) in enumerate(work) if rel != "<="]
-    total = n + n_slack + len(needs_artificial)
+    first_art = n + n_slack
+    total = first_art + sum(1 for _, rel, _ in work if rel != "<=")
 
+    # Each constraint row is multiplied through by the lcm of its
+    # denominators; its slack and artificial entries, 1 in the rational
+    # tableau, become that scale.
     slack_col_of_row: dict[int, int] = {}
-    art_cols: list[int] = []
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
     slack_seen = 0
     art_seen = 0
     for i, (vec, rel, rhs) in enumerate(work):
-        row = list(vec) + [zero] * (total - n) + [rhs]
+        ints, scale = scale_to_integers(vec + [rhs])
+        row = list(ints[:n]) + [0] * (total - n) + [ints[n]]
         if rel in ("<=", ">="):
             col = n + slack_seen
-            row[col] = one if rel == "<=" else -one
+            row[col] = scale if rel == "<=" else -scale
             slack_col_of_row[i] = col
             slack_seen += 1
-        if rel == "<=":
-            basis.append(col)
-        else:
-            col = n + n_slack + art_seen
-            row[col] = one
-            art_cols.append(col)
-            basis.append(col)
+        if rel != "<=":
+            col = first_art + art_seen
+            row[col] = scale
             art_seen += 1
-        tableau.append(row)
+        basis.append(col)
+        tableau.append(_primitive(row))
 
     allowed = [True] * total
-    cost = [c for c in c_vec] + [zero] * (total - n) + [zero]
+    ints, scale = scale_to_integers(c_vec)
+    cost = _CostRow(list(ints) + [0] * (total - n + 1), scale)
 
-    if art_cols:
-        phase1 = [zero] * total + [zero]
-        for col in art_cols:
-            phase1[col] = one
+    if first_art < total:
+        phase1 = _CostRow([0] * first_art + [1] * (total - first_art) + [0], 1)
         for i, b in enumerate(basis):
-            if b in art_cols:
-                row = tableau[i]
-                phase1 = [p - r for p, r in zip(phase1, row)]
+            if b >= first_art:
+                phase1.eliminate(tableau[i], b)
         status = _run_simplex(tableau, basis, phase1, allowed, aux=cost)
         if status == "unbounded":
             raise RuntimeError("phase 1 cannot be unbounded")
-        if -phase1[-1] > 0:
+        if phase1.nums[-1] < 0:
             return ("infeasible", zero, [], None)
         for i, b in enumerate(list(basis)):
-            if b in art_cols:
+            if b >= first_art:
                 row = tableau[i]
-                pivot_col = next(
-                    (j for j in range(total) if j not in art_cols and row[j] != 0), None
-                )
+                pivot_col = next((j for j in range(first_art) if row[j]), None)
                 if pivot_col is None:
                     continue  # redundant row, keep inert (all structural zeros)
                 _pivot(tableau, basis, [cost], i, pivot_col)
-        for col in art_cols:
+        for col in range(first_art, total):
             allowed[col] = False
 
     status = _run_simplex(tableau, basis, cost, allowed)
     if status == "unbounded":
         return ("unbounded", zero, [], None)
-    xs = [zero] * total
-    for i, b in enumerate(basis):
-        if b >= 0 and b not in art_cols:
-            xs[b] = tableau[i][-1]
-    value = -cost[-1]
+    xs = [zero] * n
+    for row, b in zip(tableau, basis):
+        if b < n:
+            xs[b] = Fraction(row[-1], row[b])
+    value = Fraction(-cost.nums[-1], cost.den)
     slack_reduced: list[Fraction] | None = None
-    if not flipped_any and not art_cols and n_slack == len(work):
-        slack_reduced = [cost[slack_col_of_row[i]] for i in range(len(work))]
-    return ("optimal", value, xs[:n], slack_reduced)
+    if not flipped_any and first_art == total and n_slack == len(work):
+        slack_reduced = [
+            Fraction(cost.nums[slack_col_of_row[i]], cost.den) for i in range(len(work))
+        ]
+    return ("optimal", value, xs, slack_reduced)
+
+
+class _CostRow:
+    """A cost row of the tableau: entry j is ``nums[j] / den`` with den > 0,
+    and the last entry is minus the objective value.  Entries share the
+    denominator, so their order and signs are those of the numerators.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: list[int], den: int):
+        self.nums = nums
+        self.den = den
+
+    def eliminate(self, row: list[int], c: int) -> None:
+        """Subtract the multiple of constraint ``row`` that zeroes column c
+        (row[c] > 0), then divide out the common factor."""
+        f = self.nums[c]
+        if f:
+            p = row[c]
+            nums = [p * a - f * b for a, b in zip(self.nums, row)]
+            den = p * self.den
+            g = math.gcd(den, *nums)
+            if g > 1:
+                nums = [a // g for a in nums]
+                den //= g
+            self.nums = nums
+            self.den = den
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries (a positive basic entry
+    keeps the gcd positive)."""
+    g = math.gcd(*row)
+    return row if g == 1 else [a // g for a in row]
 
 
 def _run_simplex(
-    tableau: list[list[Fraction]],
+    tableau: list[list[int]],
     basis: list[int],
-    cost: list[Fraction],
+    cost: _CostRow,
     allowed: list[bool],
-    aux: list[Fraction] | None = None,
+    aux: _CostRow | None = None,
 ) -> str:
-    """Pivot until optimal or unbounded; mutates tableau, basis, cost, aux."""
+    """Pivot until optimal or unbounded; mutates tableau, basis, cost, aux.
+
+    Constraint row i stands for the rational row ``tableau[i] /
+    tableau[i][basis[i]]``, whose basic entry is 1; that denominator is kept
+    positive, so the sign of an entry is the sign of its numerator and the
+    ratio rhs/a of a row is ``row[-1] / row[enter]``, compared across rows
+    by cross-multiplying.
+    """
     stall = 0
     bland = False
-    last_value = cost[-1]
+    last_num, last_den = cost.nums[-1], cost.den
+    total = len(allowed)
+    cost_rows = [cost] if aux is None else [cost, aux]
     for _ in range(_MAX_PIVOTS):
-        total = len(allowed)
+        nums = cost.nums
         enter = -1
         if bland:
             for j in range(total):
-                if allowed[j] and cost[j] < 0:
+                if allowed[j] and nums[j] < 0:
                     enter = j
                     break
         else:
-            best = Fraction(0)
+            best = 0
             for j in range(total):
-                if allowed[j] and cost[j] < best:
-                    best = cost[j]
+                if allowed[j] and nums[j] < best:
+                    best = nums[j]
                     enter = j
         if enter < 0:
             return "optimal"
         leave = -1
-        best_ratio: Fraction | None = None
+        best_rhs = best_a = 0
         for i, row in enumerate(tableau):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leave]
-                ):
-                    best_ratio = ratio
+                ours, theirs = row[-1] * best_a, best_rhs * a  # rhs/a vs best_rhs/best_a
+                if leave < 0 or ours < theirs or (ours == theirs and basis[i] < basis[leave]):
+                    best_rhs, best_a = row[-1], a
                     leave = i
         if leave < 0:
             return "unbounded"
-        extra = [aux] if aux is not None else []
-        _pivot(tableau, basis, [cost] + extra, leave, enter)
-        if cost[-1] != last_value:
-            last_value = cost[-1]
+        _pivot(tableau, basis, cost_rows, leave, enter)
+        if cost.nums[-1] * last_den != last_num * cost.den:
+            last_num, last_den = cost.nums[-1], cost.den
             stall = 0
             bland = False
         else:
@@ -349,22 +400,23 @@ def _run_simplex(
 
 
 def _pivot(
-    tableau: list[list[Fraction]],
+    tableau: list[list[int]],
     basis: list[int],
-    cost_rows: list[list[Fraction]],
+    cost_rows: list[_CostRow],
     r: int,
     c: int,
 ) -> None:
+    """Make column c basic in row r: every other row, cost rows included,
+    loses its column-c entry by an integer combination with row r."""
     row = tableau[r]
-    inv = 1 / row[c]
-    if inv != 1:
-        tableau[r] = row = [a * inv for a in row]
+    p = row[c]
+    if p < 0:
+        tableau[r] = row = [-a for a in row]
+        p = -p
     for i, other in enumerate(tableau):
-        if i != r and other[c] != 0:
-            f = other[c]
-            tableau[i] = [a - f * b for a, b in zip(other, row)]
+        f = other[c]
+        if f and i != r:
+            tableau[i] = _primitive([p * a - f * b for a, b in zip(other, row)])
     for cost in cost_rows:
-        if cost[c] != 0:
-            f = cost[c]
-            cost[:] = [a - f * b for a, b in zip(cost, row)]
+        cost.eliminate(row, c)
     basis[r] = c

@@ -2,9 +2,23 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sppreserve import Constraint, LinearProgram, LpCertificate, solve_lp, verify_certificate
+from sppreserve import (
+    Constraint,
+    GridLayout,
+    LinearProgram,
+    LpCertificate,
+    build_separation_lp,
+    gen_grid,
+    simplex,
+    solve_lp,
+    verify_certificate,
+)
 from sppreserve.simplex import _solve_min_standard, _solve_via_dual
+
+import oracles
 
 
 def lp(variables, rows, objective, direction="min"):
@@ -189,3 +203,170 @@ def test_constraint_validation():
         Constraint(coeffs={"x": F(1)}, rel=">", rhs=F(0), note="n")
     with pytest.raises(ValueError, match="unknown"):
         LinearProgram(("x",), (Constraint({"y": F(1)}, ">=", F(0), "n"),), {})
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the integer-row tableau against the Fraction tableau it
+# replaced (tests/oracles.py), which must make the same pivots.
+
+_coefficients = st.one_of(
+    st.integers(-4, 6).map(F),
+    st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+    st.sampled_from([F(3, 2), F(-3, 2), F(1, 10**9), F(-1, 10**9)]),
+    st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**9)),
+)
+
+# Beale's program: the steepest rule cycles on it, so the solver finishes
+# only through the Bland switch.  test_degenerate_cycling_guard uses the same
+# rows with another objective.
+_BEALE_ROWS = [
+    ([F(1, 4), F(-8), F(-1), F(9)], "<=", F(0)),
+    ([F(1, 2), F(-12), F(-1, 2), F(3)], "<=", F(0)),
+    ([F(0), F(0), F(1), F(0)], "<=", F(1)),
+]
+_BEALE_COST = [F(-3, 4), F(20), F(-1, 2), F(6)]
+
+
+@st.composite
+def standard_programs(draw, max_vars=5, max_rows=7):
+    """(c, rows) for min{cx : rows, x >= 0}: fractional and huge-denominator
+    entries, negative right-hand sides, and redundant equality rows."""
+    n = draw(st.integers(1, max_vars))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        vec = [F(0)] * n
+        for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
+            vec[j] = draw(_coefficients)
+        rows.append((vec, draw(st.sampled_from(["<=", ">=", "=="])), draw(_coefficients)))
+    equalities = [row for row in rows if row[1] == "=="]
+    if equalities:
+        # Multiples of equality rows and sums of two: redundant rows whose
+        # artificials stay basic at zero after phase 1.
+        for _ in range(draw(st.integers(0, 3))):
+            a, _, ra = draw(st.sampled_from(equalities))
+            b, _, rb = draw(st.sampled_from(equalities))
+            k = draw(st.sampled_from([F(1), F(-1), F(3, 2), F(-2, 7)]))
+            rows.append(([k * (x + y) for x, y in zip(a, b)], "==", k * (ra + rb)))
+    if draw(st.booleans()):
+        rows += [([F(int(i == j)) for i in range(n)], "<=", F(10)) for j in range(n)]
+    cost = [draw(st.one_of(st.just(F(0)), _coefficients)) for _ in range(n)]
+    return cost, rows
+
+
+def _assert_fractions(result):
+    status, value, xs, slack_reduced = result
+    assert status in ("optimal", "infeasible", "unbounded")
+    for x in [value, *xs, *(slack_reduced or [])]:
+        assert type(x) is F
+
+
+@settings(max_examples=300)
+@given(standard_programs())
+@example(([F(-3, 4), F(150), F(-1, 50), F(6)], _BEALE_ROWS))
+@example(([F(1)], [([F(1)], ">=", F(2)), ([F(1)], "<=", F(1))]))  # infeasible
+@example(([F(-1)], [([F(1)], ">=", F(0))]))  # unbounded
+@example(([F(1), F(1)], [([F(1), F(1)], "==", F(-4)), ([F(-3, 2), F(-3, 2)], "==", F(6))]))
+def test_integer_tableau_matches_fraction_tableau(program):
+    cost, rows = program
+    got = simplex._solve_min_standard_ex(cost, rows)
+    assert got == oracles.reference_solve_min_standard_ex(cost, rows)
+    _assert_fractions(got)
+
+
+@settings(max_examples=40)
+@given(
+    st.permutations(range(4)),
+    st.lists(st.builds(F, st.integers(1, 10**9), st.integers(1, 10**9)), min_size=4, max_size=4),
+)
+def test_integer_tableau_matches_on_beale_family(order, scales):
+    # Row scales and a cost scale leave the pivots unchanged, so the Bland
+    # switch is taken; some column orders take it too, others do not stall.
+    rows = [
+        ([k * vec[j] for j in order], rel, k * rhs)
+        for k, (vec, rel, rhs) in zip(scales, _BEALE_ROWS)
+    ]
+    cost = [scales[3] * _BEALE_COST[j] for j in order]
+    got = simplex._solve_min_standard_ex(cost, rows)
+    assert got == oracles.reference_solve_min_standard_ex(cost, rows)
+    assert got[0] == "optimal" and got[1] == scales[3] * F(-5, 4)
+    _assert_fractions(got)
+
+
+def test_beale_program_takes_the_bland_switch(monkeypatch):
+    pivots = []
+    original = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: (pivots.append(1), original(*args)))
+    assert simplex._solve_min_standard_ex(_BEALE_COST, _BEALE_ROWS)[1] == F(-5, 4)
+    assert len(pivots) > simplex._STALL_LIMIT
+
+
+def _standard_form(program):
+    index = {v: i for i, v in enumerate(program.variables)}
+    rows = []
+    for con in program.constraints:
+        vec = [F(0)] * len(index)
+        for v, c in con.coeffs.items():
+            vec[index[v]] = c
+        rows.append((vec, con.rel, con.rhs))
+    cost = [F(0)] * len(index)
+    for v, c in program.objective.items():
+        cost[index[v]] = c
+    return cost, rows
+
+
+def _assert_solve_lp_matches_reference(program):
+    got = solve_lp(program)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_solve_min_standard_ex", oracles.reference_solve_min_standard_ex)
+        want = solve_lp(program)
+    assert (got.status, got.optimum, got.assignment) == (
+        want.status,
+        want.optimum,
+        want.assignment,
+    )
+    assert all(type(x) is F for x in got.assignment.values())
+    return got
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_solve_lp_dual_route_matches_reference(data):
+    # More rows than max(2n, n + 16) and a nonnegative objective: solve_lp
+    # takes the dual route, whose slack reduced costs give the assignment.
+    # Most programs are built around a point they admit, so most are optimal.
+    n = data.draw(st.integers(1, 4))
+    variables = [f"x{i}" for i in range(n)]
+    point = {v: data.draw(st.builds(F, st.integers(0, 20), st.integers(1, 5))) for v in variables}
+    around_point = data.draw(st.integers(0, 3)) > 0
+    rows = []
+    for _ in range(data.draw(st.integers(n + 17, n + 24))):
+        coeffs = {
+            v: data.draw(_coefficients)
+            for v in data.draw(st.lists(st.sampled_from(variables), min_size=1, unique=True))
+        }
+        rel = data.draw(st.sampled_from(["<=", ">="]))
+        rhs = data.draw(_coefficients)
+        if around_point:  # holds at the point, about half the rows tightly
+            lhs = sum(c * point[v] for v, c in coeffs.items())
+            gap = 0 if data.draw(st.booleans()) else abs(rhs)
+            rhs = lhs + gap if rel == "<=" else lhs - gap
+        rows.append((coeffs, rel, rhs))
+    costs = st.builds(F, st.integers(0, 9), st.integers(1, 4))
+    objective = {v: data.draw(costs) for v in variables}
+    program = lp(variables, rows, objective)
+    assert len(program.constraints) > max(2 * n, n + 16)
+    _assert_solve_lp_matches_reference(program)
+
+
+@pytest.mark.parametrize("side", [3, 4])
+def test_grid_separation_lps_match_reference(side):
+    graph, paths = gen_grid(side, 2)
+    objective = {idx: F(1) for idx in GridLayout(side=side).last_row_and_column_edges(graph)}
+    program = build_separation_lp(graph, paths, 2, F(1, 10**9), objective)
+    cert = _assert_solve_lp_matches_reference(program)  # the dual route
+    assert cert.optimum >= 2 ** (side - 1)
+    cost, rows = _standard_form(program)
+    direct = simplex._solve_min_standard_ex(cost, rows)
+    assert direct == oracles.reference_solve_min_standard_ex(cost, rows)
+    assert direct[1] == cert.optimum
+    _assert_fractions(direct)
